@@ -106,7 +106,6 @@ int Run(int argc, char** argv) {
 
   const double alphas[] = {0.8, 1.2};
   const serve::EvictionPolicy policies[] = {serve::EvictionPolicy::kLru,
-                                            serve::EvictionPolicy::kClock,
                                             serve::EvictionPolicy::kCostAware};
   const int depths[] = {0, 8, 32, 128};
 

@@ -1,7 +1,9 @@
 #include "load/load_gen.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/random.h"
@@ -127,6 +129,41 @@ Schedule GenOpenLoop(const OpenLoopOptions& options) {
     r.cls = ClassOf(r.query);
     r.arrival_ms = t;
     schedule.requests.push_back(r);
+  }
+  return schedule;
+}
+
+BatchWorkload::BatchWorkload(Schedule batch, WorkloadSpec spec,
+                             size_t in_flight)
+    : batch_(std::move(batch)),
+      spec_(spec),
+      in_flight_(std::max<size_t>(1, in_flight)) {}
+
+std::vector<Request> BatchWorkload::InitialRequests() {
+  std::vector<Request> out;
+  while (next_ < batch_.requests.size() && next_ < in_flight_) {
+    out.push_back(batch_.requests[next_++]);
+    out.back().arrival_ms = 0.0;
+  }
+  return out;
+}
+
+std::vector<Request> BatchWorkload::OnComplete(const Request&,
+                                               double finish_ms) {
+  if (next_ >= batch_.requests.size()) return {};
+  Request r = batch_.requests[next_++];
+  r.arrival_ms = finish_ms;
+  return {r};
+}
+
+Schedule BatchSchedule(const std::vector<ssb::QueryId>& queries) {
+  Schedule schedule;
+  schedule.requests.resize(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    Request& r = schedule.requests[i];
+    r.id = static_cast<uint64_t>(i);
+    r.query = queries[i];
+    r.cls = ClassOf(r.query);
   }
   return schedule;
 }

@@ -159,6 +159,34 @@ class OpenLoopWorkload : public Workload {
   WorkloadSpec spec_;
 };
 
+// A fixed batch as a workload. The requests of `batch` (ids and classes as
+// given; arrival times are ignored) are released in order, `in_flight` at a
+// time: the first `in_flight` arrive at t = 0 and each completion (or shed)
+// releases the next at that finish time. Driven against a server with
+// `in_flight` service slots, every arrival finds a free slot, so nothing
+// queues or sheds under any admission policy and requests start in batch
+// order.
+class BatchWorkload : public Workload {
+ public:
+  BatchWorkload(Schedule batch, WorkloadSpec spec, size_t in_flight);
+
+  const WorkloadSpec& spec() const override { return spec_; }
+  std::vector<Request> InitialRequests() override;
+  std::vector<Request> OnComplete(const Request& request,
+                                  double finish_ms) override;
+  void Reset() override { next_ = 0; }
+
+ private:
+  Schedule batch_;
+  WorkloadSpec spec_;
+  size_t in_flight_;
+  size_t next_ = 0;  // index of the next request to release
+};
+
+// `queries` as a batch: request i runs queries[i] with id i and the query's
+// default class, arriving at t = 0.
+Schedule BatchSchedule(const std::vector<ssb::QueryId>& queries);
+
 // N users, each scripted with a deterministic (query, think-time) sequence
 // drawn from the seed. User u's k-th request arrives think after its
 // (k-1)-th finishes (or is shed); the first request arrives after an

@@ -1,9 +1,11 @@
 #include "serve/cluster_scheduler.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "common/macros.h"
 #include "ssb/layout.h"
@@ -82,181 +84,30 @@ int ClusterScheduler::shard_of_device(int d) const {
 
 ClusterServeReport ClusterScheduler::Serve(
     const std::vector<ssb::QueryId>& batch) {
-  const int n = cluster_.num_devices();
-  ClusterServeReport out;
-  out.device_reports.resize(static_cast<size_t>(n));
-
-  // --- Route: which devices produce a partial for each query. One device
-  // per shard; replicated shards rotate their replicas by query index so
-  // every device shares the load across a batch.
-  std::vector<std::vector<int>> participants(batch.size());
-  std::vector<std::vector<ssb::QueryId>> sub_batch(static_cast<size_t>(n));
-  std::vector<std::vector<size_t>> sub_index(static_cast<size_t>(n));
-  for (size_t i = 0; i < batch.size(); ++i) {
-    for (const placement::Shard& shard : placement_.shards) {
-      const int d = shard.devices[i % shard.devices.size()];
-      participants[i].push_back(d);
-      if (devices_[static_cast<size_t>(d)].server != nullptr) {
-        sub_batch[static_cast<size_t>(d)].push_back(batch[i]);
-        sub_index[static_cast<size_t>(d)].push_back(i);
-      }
-    }
-  }
-
-  // --- Serve epoch. Placement-time work (hash-table prewarm in the
-  // constructor, plus any previous batch) already advanced each device's
-  // timeline; this batch's clock starts at each device's current position.
-  // All reported times — latencies, transfer ready times, the makespan —
-  // are relative to the epoch, so placement cost never pollutes the
-  // steady-state serving numbers.
-  const size_t num_devices = static_cast<size_t>(n);
-  std::vector<double> epoch(num_devices, 0.0);
-  std::vector<size_t> skip_launches(num_devices, 0);
-  for (int d = 0; d < n; ++d) {
-    epoch[static_cast<size_t>(d)] = cluster_.device(d).elapsed_ms();
-    skip_launches[static_cast<size_t>(d)] =
-        cluster_.device(d).launch_log().size();
-  }
-
-  // --- Per-shard partial aggregation, one host thread per device. Each
-  // thread touches only its own device (timeline, cache, shard data), so
-  // the modeled times are deterministic regardless of host scheduling.
-  {
-    std::vector<std::thread> threads;
-    for (int d = 0; d < n; ++d) {
-      if (sub_batch[static_cast<size_t>(d)].empty()) continue;
-      threads.emplace_back([this, d, &sub_batch, &out]() {
-        out.device_reports[static_cast<size_t>(d)] =
-            devices_[static_cast<size_t>(d)].server->Serve(
-                sub_batch[static_cast<size_t>(d)]);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-
-  // Map query index -> the device's ServedQuery (nullptr for devices whose
-  // shard is empty: they contribute an empty partial, ready at t = 0).
-  std::vector<std::vector<const ServedQuery*>> partial_of(
-      static_cast<size_t>(n), std::vector<const ServedQuery*>(batch.size()));
-  for (int d = 0; d < n; ++d) {
-    const auto& report = out.device_reports[static_cast<size_t>(d)];
-    for (size_t k = 0; k < report.queries.size(); ++k) {
-      partial_of[static_cast<size_t>(d)]
-                [sub_index[static_cast<size_t>(d)][k]] = &report.queries[k];
-    }
-  }
-
-  // --- Merge the partials over the interconnect, in batch order. The root
-  // rotates deterministically among the participants; each non-root ships
-  // its dense accumulator as soon as its partial finishes.
-  std::vector<double> latencies;
-  latencies.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const std::vector<int>& parts = participants[i];
-    ClusterServedQuery cq;
-    cq.query = batch[i];
-    cq.num_partials = static_cast<int>(parts.size());
-    cq.root_device = parts[(options_.placement_seed + i) % parts.size()];
-    DeviceState& root = devices_[static_cast<size_t>(cq.root_device)];
-
-    const uint64_t accumulator_bytes =
-        ssb::QueryGroupSlots(batch[i], data_) * sizeof(int64_t);
-    double inputs_ready = 0.0;
-    double admit = -1.0;
-    for (int d : parts) {
-      const ServedQuery* partial = partial_of[static_cast<size_t>(d)][i];
-      const double ready =
-          partial != nullptr
-              ? partial->finish_ms - epoch[static_cast<size_t>(d)]
-              : 0.0;
-      if (partial != nullptr) {
-        const double partial_admit =
-            partial->admit_ms - epoch[static_cast<size_t>(d)];
-        if (admit < 0.0 || partial_admit < admit) {
-          admit = partial_admit;
-        }
-        if (partial->status != QueryStatus::kOk &&
-            cq.status == QueryStatus::kOk) {
-          cq.status = partial->status;
-        }
-        for (const auto& [key, value] : partial->result.groups) {
-          cq.result.groups[key] += value;
-        }
-      }
-      if (d == cq.root_device) {
-        inputs_ready = std::max(inputs_ready, ready);
-        continue;
-      }
-      const double arrival = cluster_.TransferBetween(
-          d, cq.root_device, accumulator_bytes, ready,
-          std::string("merge/") + ssb::QueryName(batch[i]));
-      inputs_ready = std::max(inputs_ready, arrival);
-      cq.link_bytes += accumulator_bytes;
-    }
-    if (admit < 0.0) admit = 0.0;
-    cq.admit_ms = admit;
-    if (parts.size() > 1) {
-      cq.merge_ms = MergeMs(cluster_.device(cq.root_device).spec(),
-                            cq.link_bytes);
-      const double start = std::max(inputs_ready, root.merge_free_ms);
-      cq.finish_ms = start + cq.merge_ms;
-      root.merge_free_ms = cq.finish_ms;
-    } else {
-      cq.finish_ms = inputs_ready;
-    }
-    cq.latency_ms = cq.finish_ms - cq.admit_ms;
-    // Dense accumulators extract only non-zero groups; partials that cancel
-    // to zero are dropped the same way, keeping the merged map bit-exact
-    // against the host reference.
-    for (auto it = cq.result.groups.begin(); it != cq.result.groups.end();) {
-      it = it->second == 0 ? cq.result.groups.erase(it) : std::next(it);
-    }
-    cq.result.time_ms = cq.latency_ms;
-    if (cq.status != QueryStatus::kOk) ++out.failed_queries;
-    out.link_bytes_total += cq.link_bytes;
-    out.merge_ms_total += cq.merge_ms;
-    latencies.push_back(cq.latency_ms);
-    out.queries.push_back(std::move(cq));
-  }
-
-  // Makespan: the last device to drain its kernels (epoch-relative) or the
-  // last merge/transfer to finish — transfer arrivals are covered because
-  // every arrival feeds some query's finish time.
-  out.makespan_ms = 0.0;
-  for (int d = 0; d < n; ++d) {
-    cluster_.device(d).DeviceSynchronize();
-    out.makespan_ms =
-        std::max(out.makespan_ms, cluster_.device(d).elapsed_ms() -
-                                      epoch[static_cast<size_t>(d)]);
-  }
-  for (const ClusterServedQuery& cq : out.queries) {
-    out.makespan_ms = std::max(out.makespan_ms, cq.finish_ms);
-  }
-  for (const DeviceState& state : devices_) {
-    out.makespan_ms = std::max(out.makespan_ms, state.merge_free_ms);
-  }
-  out.link_transfers = cluster_.link_log().size();
-  out.p50_latency_ms = NearestRankPercentile(latencies, 50);
-  out.p95_latency_ms = NearestRankPercentile(latencies, 95);
-  out.p99_latency_ms = NearestRankPercentile(latencies, 99);
-  out.p50_e2e_ms = out.p50_latency_ms;
-  out.p99_e2e_ms = out.p99_latency_ms;
-  out.breakdown = cluster_.Breakdown(out.merge_ms_total, skip_launches);
-  return out;
+  return ServeRouted(load::BatchSchedule(batch), load::WorkloadSpec(),
+                     /*fixed_batch=*/true);
 }
 
 ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
                                                const load::WorkloadSpec& spec) {
-  const int n = cluster_.num_devices();
-  ClusterServeReport out;
-  out.device_reports.resize(static_cast<size_t>(n));
+  return ServeRouted(schedule, spec, /*fixed_batch=*/false);
+}
 
-  // --- Route: same shard fan-out as Serve, keyed by schedule position so
-  // replicated shards rotate their replicas across the arrival stream. The
-  // sub-schedules keep the global request ids and arrival times, so every
-  // device's admission queue sees the true offered process for its slice.
+ClusterServeReport ClusterScheduler::ServeRouted(
+    const load::Schedule& schedule, const load::WorkloadSpec& spec,
+    bool fixed_batch) {
+  const int n = cluster_.num_devices();
+  const size_t num_devices = static_cast<size_t>(n);
+  ClusterServeReport out;
+  out.device_reports.resize(num_devices);
+
+  // --- Route: which devices produce a partial for each request. One device
+  // per shard; replicated shards rotate their replicas by schedule position
+  // so every device shares the load. The sub-schedules keep the global
+  // request ids and arrival times, so every device's admission queue sees
+  // the true offered process for its slice.
   std::vector<std::vector<int>> participants(schedule.requests.size());
-  std::vector<load::Schedule> sub(static_cast<size_t>(n));
+  std::vector<load::Schedule> sub(num_devices);
   for (size_t i = 0; i < schedule.requests.size(); ++i) {
     for (const placement::Shard& shard : placement_.shards) {
       const int d = shard.devices[i % shard.devices.size()];
@@ -267,7 +118,12 @@ ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
     }
   }
 
-  const size_t num_devices = static_cast<size_t>(n);
+  // --- Serve epoch. Placement-time work (hash-table prewarm in the
+  // constructor, plus any previous call) already advanced each device's
+  // timeline; this call's clock starts at each device's current position.
+  // All reported times — latencies, transfer ready times, the makespan —
+  // are relative to the epoch, so placement cost never pollutes the
+  // steady-state serving numbers.
   std::vector<double> epoch(num_devices, 0.0);
   std::vector<size_t> skip_launches(num_devices, 0);
   for (int d = 0; d < n; ++d) {
@@ -276,25 +132,34 @@ ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
         cluster_.device(d).launch_log().size();
   }
 
-  // --- Per-device loaded serving, one host thread per device (each thread
-  // owns its device's timeline, cache and admission queue). Server::
-  // ServeLoad reports epoch-relative times already, and its epoch equals
-  // the one captured above (nothing ran in between).
+  // --- Per-shard partial aggregation, one host thread per device (each
+  // thread owns its device's timeline, cache and admission queue, so the
+  // modeled times are deterministic regardless of host scheduling).
+  // Server::ServeLoad reports epoch-relative times already, and its epoch
+  // equals the one captured above (nothing ran in between). A fixed batch
+  // keeps one request in flight per stream; a schedule arrives open-loop.
   {
     std::vector<std::thread> threads;
     for (int d = 0; d < n; ++d) {
       if (sub[static_cast<size_t>(d)].requests.empty()) continue;
-      threads.emplace_back([this, d, &sub, &out, &spec]() {
-        load::OpenLoopWorkload workload(sub[static_cast<size_t>(d)], spec);
-        out.device_reports[static_cast<size_t>(d)] =
-            devices_[static_cast<size_t>(d)].server->ServeLoad(workload);
+      threads.emplace_back([this, d, fixed_batch, &sub, &out, &spec]() {
+        const size_t k = static_cast<size_t>(d);
+        Server& server = *devices_[k].server;
+        if (fixed_batch) {
+          load::BatchWorkload workload(std::move(sub[k]), spec,
+                                       server.num_streams());
+          out.device_reports[k] = server.ServeLoad(workload);
+        } else {
+          load::OpenLoopWorkload workload(std::move(sub[k]), spec);
+          out.device_reports[k] = server.ServeLoad(workload);
+        }
       });
     }
     for (std::thread& t : threads) t.join();
   }
 
-  // Request id -> the device's ServedQuery (nullptr for devices whose shard
-  // is empty: they contribute an empty partial, ready at t = 0).
+  // Request id -> the device's ServedQuery (absent for devices whose shard
+  // is empty: they hold no rows, so they ship nothing).
   std::vector<std::unordered_map<uint64_t, const ServedQuery*>> partial_of(
       num_devices);
   for (int d = 0; d < n; ++d) {
@@ -305,12 +170,15 @@ ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
     }
   }
 
-  // --- Merge by request id, in schedule order. Identical timing model to
-  // Serve; shed requests ship nothing (their merged aggregate would be
-  // incomplete, so the result is discarded anyway).
+  // --- Merge the partials over the interconnect by request id, in schedule
+  // order. The root rotates deterministically among the participants; each
+  // non-root ships its dense accumulator as soon as its partial finishes.
+  // Shed requests ship nothing (their merged aggregate would be incomplete,
+  // so the result is discarded anyway).
   std::vector<double> latencies;
   std::vector<double> e2es;
   latencies.reserve(schedule.requests.size());
+  e2es.reserve(schedule.requests.size());
   for (size_t i = 0; i < schedule.requests.size(); ++i) {
     const load::Request& req = schedule.requests[i];
     const std::vector<int>& parts = participants[i];
@@ -318,7 +186,6 @@ ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
     cq.query = req.query;
     cq.request_id = req.id;
     cq.cls = req.cls;
-    cq.arrival_ms = req.arrival_ms;
     cq.num_partials = static_cast<int>(parts.size());
     cq.root_device = parts[(options_.placement_seed + i) % parts.size()];
     DeviceState& root = devices_[static_cast<size_t>(cq.root_device)];
@@ -326,6 +193,7 @@ ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
     const uint64_t accumulator_bytes =
         ssb::QueryGroupSlots(req.query, data_) * sizeof(int64_t);
     double inputs_ready = 0.0;
+    double arrival = -1.0;
     double admit = -1.0;
     bool any_shed = false;
     for (int d : parts) {
@@ -334,6 +202,12 @@ ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
       const ServedQuery* partial =
           it != dev_partials.end() ? it->second : nullptr;
       if (partial == nullptr) continue;
+      // The request arrives when its first shard is offered it: the
+      // schedule's arrival time open-loop, the earliest release under a
+      // fixed batch (each device releases it when one of its streams frees).
+      if (arrival < 0.0 || partial->arrival_ms < arrival) {
+        arrival = partial->arrival_ms;
+      }
       if (partial->status == QueryStatus::kShed) {
         any_shed = true;
         inputs_ready = std::max(inputs_ready, partial->finish_ms);
@@ -352,18 +226,18 @@ ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
         inputs_ready = std::max(inputs_ready, partial->finish_ms);
         continue;
       }
-      const double arrival = cluster_.TransferBetween(
+      const double shipped = cluster_.TransferBetween(
           d, cq.root_device, accumulator_bytes, partial->finish_ms,
           std::string("merge/") + ssb::QueryName(req.query));
-      inputs_ready = std::max(inputs_ready, arrival);
+      inputs_ready = std::max(inputs_ready, shipped);
       cq.link_bytes += accumulator_bytes;
     }
     if (any_shed) {
       cq.status = QueryStatus::kShed;
       cq.result.groups.clear();
     }
-    if (admit < 0.0) admit = req.arrival_ms;
-    cq.admit_ms = admit;
+    cq.arrival_ms = arrival < 0.0 ? req.arrival_ms : arrival;
+    cq.admit_ms = admit < 0.0 ? cq.arrival_ms : admit;
     if (cq.status != QueryStatus::kShed && parts.size() > 1) {
       cq.merge_ms = MergeMs(cluster_.device(cq.root_device).spec(),
                             cq.link_bytes);
@@ -375,6 +249,9 @@ ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
     }
     cq.latency_ms = cq.finish_ms - cq.admit_ms;
     cq.e2e_ms = cq.finish_ms - cq.arrival_ms;
+    // Dense accumulators extract only non-zero groups; partials that cancel
+    // to zero are dropped the same way, keeping the merged map bit-exact
+    // against the host reference.
     for (auto it = cq.result.groups.begin(); it != cq.result.groups.end();) {
       it = it->second == 0 ? cq.result.groups.erase(it) : std::next(it);
     }
@@ -391,6 +268,9 @@ ClusterServeReport ClusterScheduler::ServeLoad(const load::Schedule& schedule,
     out.queries.push_back(std::move(cq));
   }
 
+  // Makespan: the last device to drain its kernels (epoch-relative) or the
+  // last merge/transfer to finish — transfer arrivals are covered because
+  // every arrival feeds some query's finish time.
   out.makespan_ms = 0.0;
   for (int d = 0; d < n; ++d) {
     cluster_.device(d).DeviceSynchronize();

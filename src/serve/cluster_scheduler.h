@@ -1,16 +1,19 @@
-// Scale-out serving: route a batch of SSB queries across the devices of a
-// sim::Cluster, run per-shard partial aggregation with the existing
-// per-device Server (cache, prefetcher, pushdown and fault injection all
-// intact per device), and merge the partial aggregates over the modeled
-// interconnect.
+// Scale-out serving: route SSB queries (a fixed batch or an open-loop
+// schedule) across the devices of a sim::Cluster, run per-shard partial
+// aggregation with the existing per-device Server (cache, prefetcher,
+// pushdown, admission and fault injection all intact per device), and merge
+// the partial aggregates over the modeled interconnect by request id.
 //
 // Routing follows the placement policy (placement.h): under kReplicate each
 // query runs whole on one device (rotating round-robin); under kRangeShard
 // every device scans its shard for every query; under kHybrid each range's
-// two replicas alternate. Per-device sub-batches run concurrently on host
-// threads — every device owns its shard data, cache and timeline, and all
-// timelines share one clock, so the modeled times are deterministic
-// regardless of host scheduling.
+// two replicas alternate. Per-device sub-schedules run concurrently on host
+// threads through Server::ServeLoad — every device owns its shard data,
+// cache, admission queue and timeline, and all timelines share one clock, so
+// the modeled times are deterministic regardless of host scheduling. Serve
+// and ServeLoad differ only in the per-device workload: a
+// load::BatchWorkload (one request in flight per stream, nothing queues) or
+// a load::OpenLoopWorkload over the routed slice of the schedule.
 //
 // The merge ships each non-root participant's *dense* group-by accumulator
 // (QueryGroupSlots x 8 bytes — Crystal keeps group-by results in dense
@@ -18,14 +21,14 @@
 // chosen by seeded rotation, through Cluster::TransferBetween, then models
 // the merge reduction on the root's merge engine (launch overhead plus an
 // HBM-bandwidth pass over the shipped accumulators; a lightweight engine
-// separate from the root's compute timeline, which Server::Serve has
+// separate from the root's compute timeline, which Server::ServeLoad has
 // already synchronized). The merged values are integer sums of the partial
 // group maps, so they stay bit-exact against the host reference executor.
 //
 // Construction is placement time: each device gets a dimension replica and
 // its (possibly striped) shard, sliced and encoded, and — when the serve
 // options enable reuse_hash_tables — a prewarm pass building every query's
-// dimension hash tables once. Serve() measures from a per-device epoch
+// dimension hash tables once. Serving measures from a per-device epoch
 // taken at entry, so placement-time kernels never count toward latencies,
 // the makespan or the breakdown; only steady-state serving does.
 #ifndef TILECOMP_SERVE_CLUSTER_SCHEDULER_H_
@@ -69,7 +72,10 @@ struct ClusterServedQuery {
   uint64_t link_bytes = 0;    // accumulator bytes shipped to the root
   double merge_ms = 0.0;      // merge-reduction time on the root
 
-  // --- Loaded serving (ServeLoad) only; zero/default under fixed batches.
+  // --- Request identity and admission. Under fixed-batch Serve the id is
+  // the batch position and the request arrives when its first shard's
+  // stream frees for it, so arrival == admit, queue_ms = 0 and
+  // e2e_ms == latency_ms.
   uint64_t request_id = 0;
   load::QueryClass cls = load::QueryClass::kStandard;
   double arrival_ms = 0.0;  // offered time (cluster serving clock)
@@ -84,14 +90,15 @@ struct ClusterServeReport {
   double p50_latency_ms = 0.0;
   double p95_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
-  // End-to-end (arrival -> merged finish) percentiles for loaded serving;
-  // equal to the service percentiles under fixed batches (nothing queues).
+  // End-to-end (arrival -> merged finish) percentiles; equal to the
+  // service percentiles under fixed batches (nothing queues).
   double p50_e2e_ms = 0.0;
   double p99_e2e_ms = 0.0;
   uint64_t failed_queries = 0;
-  // Requests shed by any shard's admission queue (ServeLoad only).
+  // Requests shed by any shard's admission queue (always 0 for Serve).
   uint64_t shed_queries = 0;
-  // Admission counters summed over every device's server (ServeLoad only).
+  // Admission counters summed over every device's server: a request fanned
+  // out to k shards is offered k times.
   AdmissionStats admission;
   uint64_t link_bytes_total = 0;
   uint64_t link_transfers = 0;
@@ -100,7 +107,7 @@ struct ClusterServeReport {
   // perf-model limiter of each launch) vs interconnect (busiest link
   // engine), with the merge reductions counted as compute.
   sim::ClusterBreakdown breakdown;
-  // The per-device Server reports (sub-batch order), for cache/pushdown/
+  // The per-device Server reports (request-id order), for cache/pushdown/
   // prefetch/fault counter drill-down. Devices holding an empty shard (or
   // routed no queries) report empty.
   std::vector<ServeReport> device_reports;
@@ -114,7 +121,8 @@ class ClusterScheduler {
   ClusterScheduler(sim::Cluster& cluster, const ssb::SsbData& data,
                    codec::System system, ClusterOptions options);
 
-  // Serve `batch` in order across the cluster.
+  // Serve `batch` in order across the cluster; request ids are batch
+  // positions. Each device serves its slice as a load::BatchWorkload.
   ClusterServeReport Serve(const std::vector<ssb::QueryId>& batch);
 
   // Loaded serving: drive an open-loop arrival schedule across the cluster.
@@ -137,6 +145,13 @@ class ClusterScheduler {
   Server* server(int d) { return devices_[static_cast<size_t>(d)].server.get(); }
 
  private:
+  // The one serving path: route `schedule`, serve each device's slice on
+  // its own thread (a BatchWorkload when `fixed_batch`, else open-loop),
+  // then merge by request id and compute the makespan and percentiles.
+  ClusterServeReport ServeRouted(const load::Schedule& schedule,
+                                 const load::WorkloadSpec& spec,
+                                 bool fixed_batch);
+
   struct DeviceState {
     int shard = -1;
     ssb::SsbData data;  // replicated dimensions + shard fact rows

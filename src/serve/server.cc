@@ -456,46 +456,9 @@ void Server::RunQueryOnStream(ssb::QueryId query, sim::StreamId stream,
 }
 
 ServeReport Server::Serve(const std::vector<ssb::QueryId>& batch) {
-  ServeReport report;
-  const double t0 = dev_.elapsed_ms();
-  const size_t log_start = dev_.launch_log().size();
-  const size_t max_concurrent = static_cast<size_t>(
-      options_.max_concurrent > 0 ? options_.max_concurrent
-                                  : options_.num_streams);
-
-  std::vector<sim::Event> done(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const sim::StreamId stream = streams_[i % streams_.size()];
-    // Admission control: at most `max_concurrent` queries in flight. Query i
-    // may not start before query i - max_concurrent has finished.
-    if (i >= max_concurrent) {
-      dev_.StreamWaitEvent(stream, done[i - max_concurrent]);
-    }
-    ServedQuery sq;
-    sq.request_id = static_cast<uint64_t>(i);
-    RunQueryOnStream(batch[i], stream, &report.decompress_skips, &sq);
-    // A fixed batch has no arrival process: every query is "offered" the
-    // moment its stream picks it up, so e2e == service and queue_ms == 0.
-    sq.cls = load::ClassOf(batch[i]);
-    sq.arrival_ms = sq.admit_ms;
-    done[i] = dev_.RecordEvent(stream);
-    report.queries.push_back(std::move(sq));
-  }
-
-  report.makespan_ms = dev_.DeviceSynchronize() - t0;
-
-  const std::vector<sim::KernelResult>& log = dev_.launch_log();
-  for (size_t i = log_start; i < log.size(); ++i) {
-    report.global_bytes_read += log[i].stats.global_bytes_read;
-    report.pushdown += log[i].stats.pushdown;
-    report.prefetch += log[i].stats.prefetch;
-  }
-  report.cache = cache_.stats();
-  if (options_.fault_plan != nullptr) {
-    report.faults = options_.fault_plan->stats();
-  }
-  AggregateLatencies(load::WorkloadSpec(), &report);
-  return report;
+  load::BatchWorkload workload(load::BatchSchedule(batch), load::WorkloadSpec(),
+                               streams_.size());
+  return ServeLoad(workload);
 }
 
 ServeReport Server::ServeLoad(load::Workload& workload) {
@@ -505,13 +468,10 @@ ServeReport Server::ServeLoad(load::Workload& workload) {
   // epoch-relative, trace spans absolute (to line up with kernel spans).
   const double t0 = dev_.DeviceSynchronize();
   const size_t log_start = dev_.launch_log().size();
-  // One service slot per stream, bounded by max_concurrent: each in-flight
-  // query owns its stream, so its service starts the instant its slot
-  // frees — the admission clock and the stream clock agree exactly.
-  const size_t slots = std::min(
-      streams_.size(),
-      static_cast<size_t>(options_.max_concurrent > 0 ? options_.max_concurrent
-                                                      : options_.num_streams));
+  // One service slot per stream: each in-flight query owns its stream, so
+  // its service starts the instant its slot frees — the admission clock and
+  // the stream clock agree exactly.
+  const size_t slots = streams_.size();
   AdmissionQueue adm(options_.admission, workload.spec(),
                      static_cast<int>(slots));
 

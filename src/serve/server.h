@@ -1,5 +1,5 @@
-// Query-serving layer: admits a batch of SSB queries across async device
-// streams, routing every fact-column tile load through the decompressed-tile
+// Query-serving layer: admits SSB queries across async device streams,
+// routing every fact-column tile load through the decompressed-tile
 // cache (tile_cache.h).
 //
 // Two cache integration points, matching the two query pipelines:
@@ -25,17 +25,19 @@
 // to skip tiles no predicate can reach — those tiles need no residency, no
 // decompress accounting, and never enter the cache.
 //
-// Scheduling: queries are assigned round-robin to N async streams, with at
-// most `max_concurrent` queries admitted at once (modeled with stream-wait
-// events, like a real admission-control semaphore).
+// Scheduling: one serving loop. ServeLoad drives a load::Workload on the
+// simulated clock — requests arrive, pass through the bounded priority
+// AdmissionQueue (admission.h) in front of one service slot per stream, and
+// either start on the lowest-numbered free stream, wait (queueing delay,
+// measured separately from service time), or are shed with
+// QueryStatus::kShed. Shed requests never touch the device, the cache or the
+// fault plan, so a schedule with its shed requests removed replays
+// bit-identically — the shed-invariance property bench_slo enforces.
 //
-// Loaded serving (ServeLoad): instead of a fixed batch, the server drives a
-// load::Workload — requests arrive on the simulated clock, pass through the
-// bounded priority AdmissionQueue (admission.h), and either start on a free
-// stream, wait (queueing delay, measured separately from service time), or
-// are shed with QueryStatus::kShed. Shed requests never touch the device,
-// the cache or the fault plan, so a schedule with its shed requests removed
-// replays bit-identically — the shed-invariance property bench_slo enforces.
+// A fixed batch (Serve) is the load::BatchWorkload: num_streams requests
+// arrive at t = 0 and each completion releases the next, so every arrival
+// finds a free stream — nothing queues or sheds, queue_ms is 0 and
+// end-to-end latency equals service latency.
 #ifndef TILECOMP_SERVE_SERVER_H_
 #define TILECOMP_SERVE_SERVER_H_
 
@@ -138,9 +140,8 @@ uint64_t TileEncodedBytes(const codec::CompressedColumn& column);
 double NearestRankPercentile(std::vector<double> samples, int q_pct);
 
 struct ServeOptions {
+  // Service slots: one in-flight query per stream.
   int num_streams = 4;
-  // Admission limit: queries in flight at once (<= 0 means num_streams).
-  int max_concurrent = 0;
   uint64_t cache_budget_bytes = 64ull << 20;
   EvictionPolicy policy = EvictionPolicy::kLru;
   // false: bypass the cache entirely (baseline for the bench comparisons).
@@ -174,16 +175,17 @@ struct ServeOptions {
   // unchanged. Off by default to keep single-query latencies comparable
   // with the pre-cluster benchmarks; the cluster scheduler turns it on.
   bool reuse_hash_tables = false;
-  // Admission policy + queue bound for ServeLoad (ignored by fixed-batch
-  // Serve, which admits everything in order).
+  // Admission policy + queue bound. A fixed batch (Serve) never queues or
+  // sheds under any setting: each arrival finds a free stream.
   AdmissionOptions admission;
 };
 
 struct ServedQuery {
   ssb::QueryId query = ssb::QueryId::kQ11;
   int stream = 0;
-  double admit_ms = 0.0;   // stream-timeline position at service start
-  double finish_ms = 0.0;  // stream-timeline position at completion
+  // Serving-clock times (ms since the serving call started).
+  double admit_ms = 0.0;   // service start on the stream
+  double finish_ms = 0.0;  // completion on the stream
   // Service time only: admit -> finish. Queueing delay is `queue_ms`.
   double latency_ms = 0.0;
   // kOk: `result` is valid and bit-exact. Anything else: an injected fault
@@ -195,8 +197,9 @@ struct ServedQuery {
   // (the prefetch round issued ahead of it plus its own kernels).
   sim::PrefetchCounters prefetch;
 
-  // --- Loaded serving (ServeLoad); fixed-batch Serve fills the request id
-  // with the batch index and leaves arrival == admit (queue_ms = 0).
+  // --- Request identity and admission. Under fixed-batch Serve the request
+  // id is the batch position and a query arrives when a stream frees for it,
+  // so arrival == admit, queue_ms = 0 and e2e_ms == latency_ms.
   uint64_t request_id = 0;
   load::QueryClass cls = load::QueryClass::kStandard;
   int user = -1;             // issuing closed-loop user, -1 otherwise
@@ -258,8 +261,8 @@ struct ServeReport {
   uint64_t failed_queries = 0;
   // Queries dropped by admission control (always 0 for fixed-batch Serve).
   uint64_t shed_queries = 0;
-  // Exact admission counters (offered/queued/shed/deadline-missed) for
-  // ServeLoad; all-zero for fixed-batch Serve.
+  // Exact admission counters (offered/queued/shed/deadline-missed). A fixed
+  // batch offers every query once and admits each immediately.
   AdmissionStats admission;
   // Per-priority-class breakdown, indexed by load::QueryClass.
   std::array<ClassReport, load::kNumClasses> classes;
@@ -271,7 +274,7 @@ struct ServeReport {
 // Recompute every latency-derived field of `report` from its queries:
 // service and end-to-end percentiles (shed excluded), per-class breakdown,
 // deadline misses (per-query flags + admission counters), and the
-// failed/shed totals. Both Serve and ServeLoad end with this; it is a free
+// failed/shed totals. ServeLoad (and so Serve) ends with this; it is a free
 // function so the regression tests can pin it on hand-built timelines.
 void AggregateLatencies(const load::WorkloadSpec& spec, ServeReport* report);
 
@@ -281,8 +284,8 @@ class Server {
   Server(sim::Device& dev, const ssb::SsbData& data,
          const ssb::EncodedLineorder& lineorder, ServeOptions options);
 
-  // Serve `batch` in order. Per-query latency is measured on the query's
-  // stream; the makespan is the device synchronize at the end.
+  // Serve `batch` in order: ServeLoad over a load::BatchWorkload with one
+  // request in flight per stream. Request ids are batch positions.
   ServeReport Serve(const std::vector<ssb::QueryId>& batch);
 
   // Drive `workload` on the simulated clock: a discrete-event loop over
@@ -291,8 +294,8 @@ class Server {
   // reported (shed ones with status kShed and no result); report times are
   // relative to the call (arrival 0 = serving start), and queries are
   // ordered by request id. Emits one trace query span per offered request
-  // when a tracer is attached (schema v9). The workload is left consumed —
-  // call workload.Reset() to replay it.
+  // when a tracer is attached. The workload is left consumed — call
+  // workload.Reset() to replay it.
   ServeReport ServeLoad(load::Workload& workload);
 
   // Build each query's dimension hash tables now so later Serve calls skip
@@ -301,6 +304,9 @@ class Server {
   // this at placement time, before its serving clock starts.
   void Prewarm(const std::vector<ssb::QueryId>& queries);
 
+  // Service slots (one per stream) — the in-flight bound a BatchWorkload
+  // needs to never queue.
+  size_t num_streams() const { return streams_.size(); }
   const TileCache& cache() const { return cache_; }
   const ssb::QueryRunner& runner() const { return runner_; }
   // nullptr unless options.prefetch.enabled (and the cache is in use).
@@ -319,7 +325,7 @@ class Server {
 
   // Issue one query's full pipeline (prefetch round, materialization, query
   // kernels, fault scans) on `stream`, filling sq->admit/finish/latency
-  // (absolute device time) and sq->status. Shared by Serve and ServeLoad.
+  // (absolute device time) and sq->status.
   void RunQueryOnStream(ssb::QueryId query, sim::StreamId stream,
                         uint64_t* decompress_skips, ServedQuery* sq);
 

@@ -35,7 +35,6 @@ struct TileCacheEntry {
   uint64_t key = 0;
   std::vector<uint32_t> values;
   uint32_t pins = 0;
-  bool referenced = false;   // clock second-chance bit
   bool zombie = false;       // invalidated while pinned; freed at last unpin
   bool speculative = false;  // staged by the prefetcher, no demand hit yet
   bool prefetched = false;   // sticky origin flag for hit attribution
@@ -53,8 +52,6 @@ const char* EvictionPolicyName(EvictionPolicy policy) {
   switch (policy) {
     case EvictionPolicy::kLru:
       return "lru";
-    case EvictionPolicy::kClock:
-      return "clock";
     case EvictionPolicy::kCostAware:
       return "cost";
   }
@@ -99,7 +96,6 @@ void TileCache::PinnedTile::Release() {
 TileCache::TileCache(uint64_t budget_bytes, EvictionPolicy policy)
     : budget_bytes_(budget_bytes),
       policy_(policy),
-      hand_(order_.end()),
       ghost_capacity_(std::max<uint64_t>(
           64, budget_bytes / (512 * sizeof(uint32_t)))) {}
 
@@ -120,26 +116,13 @@ TileCache::Entry* TileCache::FindLocked(codec::ColumnId column_id, int64_t tile_
 }
 
 void TileCache::TouchLocked(Entry* entry) {
-  if (policy_ == EvictionPolicy::kClock) {
-    entry->referenced = true;
-  } else {
-    // LRU and cost-aware both keep the list in recency order: move to the
-    // hot (back) end.
-    order_.splice(order_.end(), order_, entry->pos);
-  }
-}
-
-void TileCache::AdvanceHandOffLocked(Entry* entry) {
-  // The hand must never be left on an element about to be unlinked. Erasing
-  // the last element nudges the hand to order_.end(), which the sweep loop
-  // in MakeRoomLocked wraps back to begin() — both states are valid.
-  if (policy_ != EvictionPolicy::kClock) return;
-  if (hand_ != order_.end() && hand_ == entry->pos) ++hand_;
+  // Both policies keep the list in recency order: move to the hot (back)
+  // end.
+  order_.splice(order_.end(), order_, entry->pos);
 }
 
 void TileCache::RemoveLocked(Entry* entry, bool count_eviction) {
   TILECOMP_DCHECK(entry->pins == 0);
-  AdvanceHandOffLocked(entry);
   order_.erase(entry->pos);
   stats_.bytes_in_use -= entry->bytes();
   if (count_eviction) ++stats_.evictions;
@@ -225,26 +208,6 @@ bool TileCache::MakeRoomLocked(uint64_t needed, uint64_t* evictions) {
       Entry* victim = *it;
       ++it;
       if (victim->pins == 0) EvictLocked(victim);
-    }
-  } else if (policy_ == EvictionPolicy::kClock) {
-    // Clock: each pass over the ring clears reference bits; an entry whose
-    // bit is already clear (and that is unpinned) is evicted. Bounded by
-    // two full sweeps — after one sweep every surviving candidate bit is
-    // clear, so a second sweep either evicts or proves all pinned.
-    size_t steps = 2 * order_.size();
-    while (stats_.bytes_in_use + needed > budget_bytes_ && steps-- > 0 &&
-           !order_.empty()) {
-      if (hand_ == order_.end()) hand_ = order_.begin();
-      Entry* candidate = *hand_;
-      if (candidate->pins > 0) {
-        ++hand_;
-      } else if (candidate->referenced) {
-        candidate->referenced = false;
-        ++hand_;
-      } else {
-        // EvictLocked's AdvanceHandOffLocked moves the hand off the victim.
-        EvictLocked(candidate);
-      }
     }
   } else {
     // Cost-aware: rank a window of the coldest unpinned entries and evict
@@ -371,7 +334,6 @@ TileCache::PinnedTile TileCache::Insert(codec::ColumnId column_id, int64_t tile_
   entry->key = MakeKey(column_id, tile_id);
   entry->values.assign(values, values + count);
   entry->pins = 1;
-  entry->referenced = true;
   entry->decode_cost = cost.decode_cost;
   entry->encoded_bytes = cost.encoded_bytes;
   entry->generation = generation;
@@ -425,7 +387,6 @@ SpeculativeInsert TileCache::InsertSpeculative(codec::ColumnId column_id,
   entry->key = MakeKey(column_id, tile_id);
   entry->values.assign(values, values + count);
   entry->pins = 0;
-  entry->referenced = false;  // clock: no second chance until a demand hit
   entry->speculative = true;
   entry->prefetched = true;
   entry->decode_cost = cost.decode_cost;
@@ -437,9 +398,8 @@ SpeculativeInsert TileCache::InsertSpeculative(codec::ColumnId column_id,
   // staging cold would let each speculative insert's room-making evict the
   // previously staged tile the moment the cache is full (speculation
   // churning on itself, never surviving to a hit). Low priority is enforced
-  // elsewhere: the cleared clock reference bit (no second chance until a
-  // demand hit), the kCostAware victim scan taking never-hit speculative
-  // entries first, and the wasted accounting when an unused entry ages out.
+  // elsewhere: the kCostAware victim scan takes never-hit speculative
+  // entries first, and an unused entry that ages out counts as wasted.
   order_.push_back(raw);
   raw->pos = std::prev(order_.end());
   entries_[raw->key] = std::move(entry);
@@ -472,7 +432,6 @@ void TileCache::InvalidateEntryLocked(Entry* entry) {
   // Pinned: unlink from the index and replacement order so no future probe
   // sees the poisoned data (and the key is free for a fresh insert), but
   // keep the storage alive for the handles already holding it.
-  AdvanceHandOffLocked(entry);
   order_.erase(entry->pos);
   // A zombie can never be hit, so a still-speculative one is wasted now.
   if (entry->speculative) {

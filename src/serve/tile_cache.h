@@ -41,8 +41,6 @@ namespace tilecomp::serve {
 
 // Replacement policy for unpinned entries.
 //   kLru       — evict the least-recently-used entry.
-//   kClock     — second-chance ring: a hit sets a reference bit; the clock
-//                hand clears bits until it finds a cleared, unpinned entry.
 //   kCostAware — ARC-style adaptive cost ranking: victims come from a window
 //                of the coldest unpinned entries, ranked by
 //                (decode-cost estimate x encoded bytes) / entry size scaled
@@ -52,7 +50,7 @@ namespace tilecomp::serve {
 //                (B1: evicted without reuse, B2: evicted after reuse) track
 //                recently evicted keys; a miss on a ghosted key shifts the
 //                recency/frequency weight toward the list that was wrong.
-enum class EvictionPolicy { kLru, kClock, kCostAware };
+enum class EvictionPolicy { kLru, kCostAware };
 
 const char* EvictionPolicyName(EvictionPolicy policy);
 
@@ -236,11 +234,11 @@ class TileCache {
   // predicted for the next query, so it gets one replacement cycle to prove
   // itself (staging cold would let speculation churn on itself the moment
   // the cache is full) — flagged speculative until its first demand hit.
-  // Low priority is enforced by the cleared clock reference bit, by the
-  // kCostAware victim scan preferring never-hit speculative entries, and by
-  // the wasted accounting when an unused entry ages out. Never hands out a
-  // pin. Counts prefetch_late when the key is already resident and
-  // prefetch_wasted when the insert is refused.
+  // Low priority is enforced by the kCostAware victim scan preferring
+  // never-hit speculative entries, and by the wasted accounting when an
+  // unused entry ages out. Never hands out a pin. Counts prefetch_late when
+  // the key is already resident and prefetch_wasted when the insert is
+  // refused.
   SpeculativeInsert InsertSpeculative(codec::ColumnId column_id,
                                       int64_t tile_id, const uint32_t* values,
                                       uint32_t count, TileCost cost = TileCost(),
@@ -316,10 +314,6 @@ class TileCache {
   // else the lowest-ranked of a window of cold unpinned entries. nullptr
   // when every entry is pinned.
   Entry* PickCostAwareVictimLocked();
-  // Move the clock hand off `entry` before it is unlinked — the single
-  // place the hand is nudged, so every erase site preserves the invariant
-  // that `hand_` is either order_.end() or a live element's iterator.
-  void AdvanceHandOffLocked(Entry* entry);
   // Record an eviction in the ghost lists (kCostAware capacity evictions
   // only): B1 for entries evicted without any demand hit, B2 for the rest.
   void GhostRecordLocked(Entry* entry);
@@ -345,10 +339,8 @@ class TileCache {
   // Keyed by (column_id << 32 is not enough for tile ids) — see MakeKey in
   // the .cc. unique_ptr gives Entry pointer stability across rehashes.
   std::unordered_map<uint64_t, std::unique_ptr<Entry>> entries_;
-  // Replacement order. LRU / cost-aware: front = coldest, back = hottest.
-  // Clock: a ring in insertion order with `hand_` as the clock hand.
+  // Replacement order: front = coldest, back = hottest.
   std::list<Entry*> order_;
-  std::list<Entry*>::iterator hand_;
   // Invalidated-while-pinned entries: out of the index and replacement
   // order, kept alive (and counted in bytes_in_use) until their last pin
   // releases.

@@ -93,11 +93,7 @@ void AppendKernelFields(std::string* out, const sim::KernelResult& k) {
 }  // namespace
 
 bool IsKnownTraceSchema(const std::string& schema) {
-  return schema == kTraceSchema || schema == kTraceSchemaV1 ||
-         schema == kTraceSchemaV2 || schema == kTraceSchemaV3 ||
-         schema == kTraceSchemaV4 || schema == kTraceSchemaV5 ||
-         schema == kTraceSchemaV6 || schema == kTraceSchemaV7 ||
-         schema == kTraceSchemaV8 || schema == kTraceSchemaV9;
+  return schema == kTraceSchema;
 }
 
 std::string ToJson(const std::vector<Span>& spans) {
@@ -192,20 +188,13 @@ bool TraceFromJson(const std::string& json, std::vector<Span>* spans,
     span.depth = static_cast<int>(record.Get("depth").AsInt64());
     span.start_ms = record.Get("start_ms").AsDouble();
     span.duration_ms = record.Get("duration_ms").AsDouble();
-    // v1 traces predate streams; everything ran on the default stream.
-    span.stream_id =
-        record.Has("stream") ? static_cast<int>(record.Get("stream").AsInt64())
-                             : 0;
-    // Pre-v8 traces predate clusters: everything ran on device 0.
-    span.device_id =
-        record.Has("device") ? static_cast<int>(record.Get("device").AsInt64())
-                             : 0;
-    // Pre-v5 traces predate fault injection: zero retries, not failed.
-    if (record.Has("faults")) {
-      const JsonValue& faults = record.Get("faults");
-      span.fault_retries = static_cast<int>(faults.Get("retries").AsInt64());
-      span.fault_failed = faults.Get("failed").AsBool();
-    }
+    // Fields a span kind does not carry (scope/link streams, faults outside
+    // kernel/transfer spans) read as null and load as zero.
+    span.stream_id = static_cast<int>(record.Get("stream").AsInt64());
+    span.device_id = static_cast<int>(record.Get("device").AsInt64());
+    const JsonValue& faults = record.Get("faults");
+    span.fault_retries = static_cast<int>(faults.Get("retries").AsInt64());
+    span.fault_failed = faults.Get("failed").AsBool();
     if (span.kind == SpanKind::kKernel) {
       sim::KernelResult& k = span.kernel;
       k.label = span.name;
@@ -222,13 +211,10 @@ bool TraceFromJson(const std::string& json, std::vector<Span>* spans,
           static_cast<int>(config.Get("smem_bytes_per_block").AsInt64());
       k.config.regs_per_thread =
           static_cast<int>(config.Get("regs_per_thread").AsInt64());
-      // Pre-v3 traces predate the scheduling knob: everything was static.
-      if (config.Has("scheduling")) {
-        k.config.scheduling = config.Get("scheduling").AsString() ==
-                                      "persistent"
-                                  ? sim::Scheduling::kPersistent
-                                  : sim::Scheduling::kStatic;
-      }
+      k.config.scheduling =
+          config.Get("scheduling").AsString() == "persistent"
+              ? sim::Scheduling::kPersistent
+              : sim::Scheduling::kStatic;
       const JsonValue& stats = record.Get("stats");
       k.stats.global_bytes_read = stats.Get("global_bytes_read").AsUint64();
       k.stats.global_bytes_written =
@@ -238,39 +224,25 @@ bool TraceFromJson(const std::string& json, std::vector<Span>* spans,
       k.stats.shared_bytes = stats.Get("shared_bytes").AsUint64();
       k.stats.compute_ops = stats.Get("compute_ops").AsUint64();
       k.stats.barriers = stats.Get("barriers").AsUint64();
-      if (stats.Has("atomic_ops")) {
-        k.stats.atomic_ops = stats.Get("atomic_ops").AsUint64();
-      }
-      // Pre-v4 traces predate the tile cache: counters stay zero.
-      if (record.Has("cache")) {
-        const JsonValue& cache = record.Get("cache");
-        k.stats.cache.hits = cache.Get("hits").AsUint64();
-        k.stats.cache.misses = cache.Get("misses").AsUint64();
-        k.stats.cache.evictions = cache.Get("evictions").AsUint64();
-        k.stats.cache.saved_bytes = cache.Get("saved_bytes").AsUint64();
-        // Pre-v7 traces predate prefetching: the split stays zero.
-        if (cache.Has("prefetch_hits")) {
-          k.stats.cache.prefetch_hits = cache.Get("prefetch_hits").AsUint64();
-        }
-      }
-      // Pre-v6 traces predate predicate pushdown: counters stay zero.
-      if (record.Has("pushdown")) {
-        const JsonValue& pd = record.Get("pushdown");
-        k.stats.pushdown.tiles_pruned = pd.Get("tiles_pruned").AsUint64();
-        k.stats.pushdown.tiles_decoded = pd.Get("tiles_decoded").AsUint64();
-        k.stats.pushdown.blocks_short_circuited =
-            pd.Get("blocks_short_circuited").AsUint64();
-        k.stats.pushdown.runs_short_circuited =
-            pd.Get("runs_short_circuited").AsUint64();
-      }
-      // Pre-v7 traces predate speculative prefetching: counters stay zero.
-      if (record.Has("prefetch")) {
-        const JsonValue& pf = record.Get("prefetch");
-        k.stats.prefetch.issued = pf.Get("issued").AsUint64();
-        k.stats.prefetch.useful = pf.Get("useful").AsUint64();
-        k.stats.prefetch.wasted = pf.Get("wasted").AsUint64();
-        k.stats.prefetch.late = pf.Get("late").AsUint64();
-      }
+      k.stats.atomic_ops = stats.Get("atomic_ops").AsUint64();
+      const JsonValue& cache = record.Get("cache");
+      k.stats.cache.hits = cache.Get("hits").AsUint64();
+      k.stats.cache.misses = cache.Get("misses").AsUint64();
+      k.stats.cache.evictions = cache.Get("evictions").AsUint64();
+      k.stats.cache.saved_bytes = cache.Get("saved_bytes").AsUint64();
+      k.stats.cache.prefetch_hits = cache.Get("prefetch_hits").AsUint64();
+      const JsonValue& pd = record.Get("pushdown");
+      k.stats.pushdown.tiles_pruned = pd.Get("tiles_pruned").AsUint64();
+      k.stats.pushdown.tiles_decoded = pd.Get("tiles_decoded").AsUint64();
+      k.stats.pushdown.blocks_short_circuited =
+          pd.Get("blocks_short_circuited").AsUint64();
+      k.stats.pushdown.runs_short_circuited =
+          pd.Get("runs_short_circuited").AsUint64();
+      const JsonValue& pf = record.Get("prefetch");
+      k.stats.prefetch.issued = pf.Get("issued").AsUint64();
+      k.stats.prefetch.useful = pf.Get("useful").AsUint64();
+      k.stats.prefetch.wasted = pf.Get("wasted").AsUint64();
+      k.stats.prefetch.late = pf.Get("late").AsUint64();
       const JsonValue& breakdown = record.Get("breakdown_ms");
       k.breakdown.launch_ms = breakdown.Get("launch").AsDouble();
       k.breakdown.bandwidth_ms = breakdown.Get("bandwidth").AsDouble();
@@ -278,27 +250,21 @@ bool TraceFromJson(const std::string& json, std::vector<Span>* spans,
       k.breakdown.scheduling_ms = breakdown.Get("scheduling").AsDouble();
       k.breakdown.shared_ms = breakdown.Get("shared").AsDouble();
       k.breakdown.compute_ms = breakdown.Get("compute").AsDouble();
-      if (breakdown.Has("atomic")) {
-        k.breakdown.atomic_ms = breakdown.Get("atomic").AsDouble();
-      }
+      k.breakdown.atomic_ms = breakdown.Get("atomic").AsDouble();
       k.breakdown.occupancy = record.Get("occupancy").AsDouble();
-      if (record.Has("wave")) {
-        const JsonValue& wave = record.Get("wave");
-        sim::WaveStats& w = k.breakdown.wave;
-        w.scheduling = wave.Get("scheduling").AsString() == "persistent"
-                           ? sim::Scheduling::kPersistent
-                           : sim::Scheduling::kStatic;
-        w.slots = wave.Get("slots").AsInt64();
-        w.waves = wave.Get("waves").AsInt64();
-        w.mean_cost = wave.Get("mean_cost").AsDouble();
-        w.max_cost = wave.Get("max_cost").AsDouble();
-        w.p99_cost = wave.Get("p99_cost").AsDouble();
-        w.imbalance = wave.Get("imbalance").AsDouble();
-        // tail_ms is stored under breakdown_ms, keeping total_ms consistent.
-        if (breakdown.Has("tail")) {
-          w.tail_ms = breakdown.Get("tail").AsDouble();
-        }
-      }
+      const JsonValue& wave = record.Get("wave");
+      sim::WaveStats& w = k.breakdown.wave;
+      w.scheduling = wave.Get("scheduling").AsString() == "persistent"
+                         ? sim::Scheduling::kPersistent
+                         : sim::Scheduling::kStatic;
+      w.slots = wave.Get("slots").AsInt64();
+      w.waves = wave.Get("waves").AsInt64();
+      w.mean_cost = wave.Get("mean_cost").AsDouble();
+      w.max_cost = wave.Get("max_cost").AsDouble();
+      w.p99_cost = wave.Get("p99_cost").AsDouble();
+      w.imbalance = wave.Get("imbalance").AsDouble();
+      // tail_ms is stored under breakdown_ms, keeping total_ms consistent.
+      w.tail_ms = breakdown.Get("tail").AsDouble();
     }
     if (span.kind == SpanKind::kTransfer) {
       span.transfer_bytes = record.Get("bytes").AsUint64();

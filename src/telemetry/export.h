@@ -1,20 +1,23 @@
 // Trace exporters and loader.
 //
-// JSON schema (stable; version bumps on breaking change):
+// JSON schema (tilecomp.trace.v10; the version bumps on any change, and the
+// loader accepts only the current version — this repo is the only producer
+// and consumer of the format):
 //
 //   {
-//     "schema": "tilecomp.trace.v9",
+//     "schema": "tilecomp.trace.v10",
 //     "spans": [
 //       {
-//         "kind": "kernel" | "transfer" | "scope" | "link" | "query",
+//         "kind": "kernel" | "transfer" | "scope" | "link" | "query" |
+//                 "reencode",
 //         "name": "<launch label / scope name / link label>",
 //         "path": "<'/'-joined enclosing scope names, '' at top level>",
 //         "depth": <int>,
 //         "start_ms": <double>, "duration_ms": <double>,
-//         // v8: device the span belongs to (0 in single-device traces; link
+//         // device the span belongs to (0 in single-device traces; link
 //         // spans carry their source device here).
 //         "device": <int>,
-//         // kind == "kernel" | "transfer" only:
+//         // every kind except "scope" | "link":
 //         "stream": <int, 0 = default stream>,
 //         // kind == "kernel" only:
 //         "config": {"grid_dim", "block_threads", "smem_bytes_per_block",
@@ -27,60 +30,44 @@
 //                          "shared", "compute", "tail", "atomic"},
 //         "wave": {"scheduling": "static"|"persistent", "slots", "waves",
 //                  "mean_cost", "max_cost", "p99_cost", "imbalance"},
+//         // decompressed-tile cache activity (serve/tile_cache.h);
+//         // "prefetch_hits" are demand hits on speculatively staged tiles.
 //         "cache": {"hits", "misses", "evictions", "saved_bytes",
 //                   "prefetch_hits"},
+//         // compressed-domain predicate evaluation: tiles pruned before
+//         // decode vs decoded, and the 128-value blocks / RFOR runs a bound
+//         // decided without touching values.
 //         "pushdown": {"tiles_pruned", "tiles_decoded",
 //                      "blocks_short_circuited", "runs_short_circuited"},
+//         // speculative tile prefetching (serve/prefetcher.h).
 //         "prefetch": {"issued", "useful", "wasted", "late"},
 //         "limiter": "bandwidth"|"latency"|"scheduling"|"shared"|"compute",
-//         // kind == "kernel" | "transfer" only:
+//         // kind == "kernel" | "transfer" only: injected-fault retries and
+//         // terminal failure (fault/fault.h).
 //         "faults": {"retries": <int>, "failed": <bool>},
 //         // kind == "transfer" | "link" only:
 //         "bytes": <uint64>,
-//         // kind == "link" only (v8): inter-device interconnect transfer
+//         // kind == "link" only: inter-device interconnect transfer
 //         // endpoints (sim::Cluster).
 //         "src_device": <int>, "dst_device": <int>,
-//         // kind == "query" only (v9): one served query's admission
-//         // lifecycle under load. The span covers arrival -> finish
-//         // (start_ms = arrival, duration_ms = end-to-end latency);
-//         // "admit_ms" is when the request left the admission queue and
-//         // "service_start_ms" when its kernels became eligible, so
-//         // queueing delay (admit - arrival) is separable from service
-//         // time (finish - start). Shed queries carry stream -1, status
-//         // "shed", and admit == service_start == arrival + queue wait.
+//         // kind == "query" only: one served query's admission lifecycle.
+//         // The span covers arrival -> finish (start_ms = arrival,
+//         // duration_ms = end-to-end latency); "admit_ms" is when the
+//         // request left the admission queue and "service_start_ms" when
+//         // its kernels became eligible, so queueing delay (admit -
+//         // arrival) is separable from service time (finish - start). Shed
+//         // queries carry stream -1, status "shed", and admit ==
+//         // service_start == arrival + queue wait.
 //         "request_id": <uint64>, "class": "interactive"|"standard"|"batch",
 //         "status": "ok"|"shed"|..., "admit_ms": <double>,
-//         "service_start_ms": <double>
+//         "service_start_ms": <double>,
+//         // kind == "reencode" only: one committed background re-encode of
+//         // a mutable-column tile (codec/mutable_column.h).
+//         "column": <uint32>, "tile": <int64>, "generation": <uint64>,
+//         "old_words": <uint32>, "new_words": <uint32>
 //       }, ...
 //     ]
 //   }
-//
-// v2 added the per-span "stream" field (async stream timelines); v3 adds the
-// scheduling knob, the atomic-op counter, the wave/imbalance object and the
-// tail/atomic breakdown terms; v4 adds the per-kernel "cache" object (the
-// serving layer's decompressed-tile cache: hit/miss/eviction counts and the
-// encoded bytes hits avoided reading); v5 adds the per-span "faults" object
-// (injected-fault retries and terminal failure from the fault plan, see
-// fault/fault.h); v6 adds the per-kernel "pushdown" object (compressed-domain
-// predicate evaluation: tiles pruned before decode vs tiles decoded, and the
-// 128-value blocks / RFOR runs a zone-map or frame-of-reference bound decided
-// without touching values); v7 adds the per-kernel "prefetch" object (the
-// serving layer's speculative tile prefetching: decodes issued / useful /
-// wasted / late, see serve/prefetcher.h) and the "prefetch_hits" cache field
-// (demand hits served by speculatively staged tiles, counted apart from
-// "hits"); v8 adds multi-device cluster serving: the per-span "device" field
-// (which device's timeline the span sits on) and the "link" span kind (one
-// inter-device transfer over the modeled interconnect, carrying "bytes" plus
-// "src_device"/"dst_device"); v9 adds loaded serving: the "query" span kind
-// (one served query's arrival/admit/service-start/finish lifecycle with its
-// request id, priority class and final status — see serve/admission.h).
-// Older traces still load through TraceFromJson:
-// a missing "stream" defaults to the synchronizing stream 0, missing v3
-// fields default to a static launch with no wave data, a missing v4 "cache"
-// object defaults to all-zero counters, a missing v5 "faults" object
-// defaults to zero retries / not failed, a missing v6 "pushdown" object
-// defaults to all-zero counters, missing v7 prefetch fields default to
-// all-zero counters, and a missing v8 "device" field defaults to device 0.
 //
 // The chrome://tracing exporter emits the Trace Event JSON format ("X"
 // duration events, microsecond timestamps) loadable in chrome://tracing or
@@ -99,17 +86,8 @@
 namespace tilecomp::telemetry {
 
 inline constexpr const char* kTraceSchema = "tilecomp.trace.v10";
-inline constexpr const char* kTraceSchemaV1 = "tilecomp.trace.v1";
-inline constexpr const char* kTraceSchemaV2 = "tilecomp.trace.v2";
-inline constexpr const char* kTraceSchemaV3 = "tilecomp.trace.v3";
-inline constexpr const char* kTraceSchemaV4 = "tilecomp.trace.v4";
-inline constexpr const char* kTraceSchemaV5 = "tilecomp.trace.v5";
-inline constexpr const char* kTraceSchemaV6 = "tilecomp.trace.v6";
-inline constexpr const char* kTraceSchemaV7 = "tilecomp.trace.v7";
-inline constexpr const char* kTraceSchemaV8 = "tilecomp.trace.v8";
-inline constexpr const char* kTraceSchemaV9 = "tilecomp.trace.v9";
 
-// True for every schema version TraceFromJson accepts (v1 through v10).
+// True only for kTraceSchema: TraceFromJson rejects every other version.
 bool IsKnownTraceSchema(const std::string& schema);
 
 // Machine-readable trace (schema above). The span-vector overload serializes
@@ -117,14 +95,9 @@ bool IsKnownTraceSchema(const std::string& schema);
 std::string ToJson(const Tracer& tracer);
 std::string ToJson(const std::vector<Span>& spans);
 
-// Parse a tilecomp.trace.v1 through .v10 document back into spans. Limiter
-// and derived fields are recomputed from the stored breakdown; spans from a
-// v1 trace carry stream 0, pre-v3 spans carry static scheduling with no wave
-// data, pre-v4 spans carry all-zero cache counters, pre-v5 spans carry zero
-// fault retries / not failed, pre-v6 spans carry all-zero pushdown counters,
-// pre-v7 spans carry all-zero prefetch counters, pre-v8 spans carry
-// device 0, and pre-v10 traces simply contain no reencode spans. Returns
-// false (and fills *error) on malformed input or an unknown schema.
+// Parse a kTraceSchema document back into spans. Limiter and derived
+// fields are recomputed from the stored breakdown. Returns false (and fills
+// *error) on malformed input or any other schema version.
 bool TraceFromJson(const std::string& json, std::vector<Span>* spans,
                    std::string* error);
 

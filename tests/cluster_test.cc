@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "codec/systems.h"
+#include "fixed_batch_contract.h"
 #include "gtest/gtest.h"
 #include "serve/cluster_scheduler.h"
 #include "serve/placement.h"
@@ -367,6 +368,55 @@ TEST(ClusterSchedulerTest, ConcurrentServeIsDeterministic) {
   for (size_t i = 0; i < batch.size(); ++i) {
     ExpectSameGroups(a.queries[i].result, HostReference(batch[i]),
                      ssb::QueryName(batch[i]));
+  }
+}
+
+TEST(ClusterSchedulerTest, FixedBatchContract) {
+  // Serve routes the batch once and each device serves its slice as a
+  // BatchWorkload: the cluster-level request id is the batch position,
+  // nothing queues or sheds on any device, and the merged query arrives
+  // when its first shard starts it, so e2e == latency. Every device
+  // follows the single-server contract on its slice. The cache is off so
+  // the timeline does not depend on eviction order; the hash-table prewarm
+  // moves every device clock off zero before serving starts.
+  const ssb::SsbData& data = TestData();
+  std::vector<ssb::QueryId> batch = ssb::AllQueries();
+  for (ssb::QueryId q : ssb::AllQueries()) batch.push_back(q);
+
+  sim::Cluster cluster(2, sim::DeviceSpec::V100(), sim::LinkSpec::NvLink());
+  ClusterOptions copts;
+  copts.policy = placement::PolicyKind::kRangeShard;
+  copts.serve.num_streams = 3;
+  copts.serve.use_cache = false;
+  copts.serve.reuse_hash_tables = true;
+  ClusterScheduler sched(cluster, data, codec::System::kNone, copts);
+  const ClusterServeReport report = sched.Serve(batch);
+
+  ASSERT_EQ(report.queries.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const ClusterServedQuery& cq = report.queries[i];
+    EXPECT_EQ(cq.request_id, i);
+    EXPECT_EQ(cq.query, batch[i]);
+    EXPECT_EQ(cq.cls, load::ClassOf(batch[i]));
+    EXPECT_EQ(cq.status, QueryStatus::kOk);
+    EXPECT_EQ(cq.num_partials, 2);
+    EXPECT_EQ(cq.queue_ms, 0.0);
+    EXPECT_DOUBLE_EQ(cq.arrival_ms, cq.admit_ms);
+    EXPECT_DOUBLE_EQ(cq.e2e_ms, cq.latency_ms);
+    ExpectSameGroups(cq.result, HostReference(batch[i]),
+                     ssb::QueryName(batch[i]));
+  }
+  EXPECT_EQ(report.shed_queries, 0u);
+  EXPECT_DOUBLE_EQ(report.p50_e2e_ms, report.p50_latency_ms);
+  EXPECT_DOUBLE_EQ(report.p99_e2e_ms, report.p99_latency_ms);
+  // Range sharding fans every request out to both devices.
+  EXPECT_EQ(report.admission.offered, 2 * batch.size());
+  EXPECT_EQ(report.admission.shed, 0u);
+  EXPECT_EQ(report.admission.queued, 0u);
+  for (int d = 0; d < sched.num_devices(); ++d) {
+    const ServeReport& device = report.device_reports[static_cast<size_t>(d)];
+    ASSERT_EQ(device.queries.size(), batch.size()) << "device " << d;
+    ExpectFixedBatchContract(device, 3);
   }
 }
 

@@ -243,19 +243,6 @@ TEST(CacheFaultTest, InvalidateWhilePinnedKeepsHandleAliveAsZombie) {
   // part of the assertion.
 }
 
-TEST(CacheFaultTest, ClockHandSurvivesInvalidateAtHand) {
-  serve::TileCache cache(3 * kTileBytes, serve::EvictionPolicy::kClock);
-  const std::vector<uint32_t> v(kTile, 4);
-  for (uint32_t t = 0; t < 3; ++t) cache.Insert(codec::ColumnId(0), t, v.data(), kTile);
-  // Force the hand to move by evicting once, then invalidate entries under
-  // and around the hand; subsequent inserts must still terminate.
-  cache.Insert(codec::ColumnId(0), 3, v.data(), kTile);
-  EXPECT_TRUE(cache.Invalidate(codec::ColumnId(0), 1) || cache.Invalidate(codec::ColumnId(0), 2) ||
-              cache.Invalidate(codec::ColumnId(0), 3));
-  for (uint32_t t = 4; t < 10; ++t) cache.Insert(codec::ColumnId(0), t, v.data(), kTile);
-  EXPECT_LE(cache.stats().bytes_in_use, cache.budget_bytes());
-}
-
 // --- Server-level recovery paths ---
 
 const ssb::SsbData& TestData() {

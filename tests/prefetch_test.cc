@@ -199,8 +199,7 @@ TEST(CostAwareTest, BudgetNeverExceededUnderSpeculativeChurn) {
   // speculative inserts, lookups and invalidations, for every policy.
   const uint64_t budget = 5 * kTileBytes + 100;  // deliberately unaligned
   for (EvictionPolicy policy :
-       {EvictionPolicy::kLru, EvictionPolicy::kClock,
-        EvictionPolicy::kCostAware}) {
+       {EvictionPolicy::kLru, EvictionPolicy::kCostAware}) {
     TileCache cache(budget, policy);
     uint64_t state = 98765;
     for (int i = 0; i < 3000; ++i) {

@@ -379,8 +379,7 @@ TEST(PropertyTest, PrefetchServingIsBitExactUnderPressure) {
   const uint64_t base_seed = EnvU64("TILECOMP_PROPERTY_SEED", 0xC0FFEE);
   for (Scheme scheme : {Scheme::kGpuFor, Scheme::kGpuBp}) {
     for (serve::EvictionPolicy policy :
-         {serve::EvictionPolicy::kLru, serve::EvictionPolicy::kClock,
-          serve::EvictionPolicy::kCostAware}) {
+         {serve::EvictionPolicy::kLru, serve::EvictionPolicy::kCostAware}) {
       for (double alpha : {0.8, 1.2}) {
         for (bool prefetch_on : {false, true}) {
           Config cfg;

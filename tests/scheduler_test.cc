@@ -447,21 +447,32 @@ TEST(SchedulerTelemetryTest, PersistentSpanRoundTripsThroughJson) {
   EXPECT_TRUE(saw_persistent);
 }
 
-TEST(SchedulerTelemetryTest, PreV3TracesDefaultToStaticNoWave) {
-  const std::string v2 =
-      "{\"schema\":\"tilecomp.trace.v2\",\"spans\":[{\"kind\":\"kernel\","
-      "\"name\":\"k\",\"path\":\"\",\"depth\":0,\"start_ms\":0.0,"
-      "\"duration_ms\":1.0,\"stream\":1,"
+TEST(SchedulerTelemetryTest, StaticSpanLoadsWithUnitImbalance) {
+  const std::string trace =
+      "{\"schema\":\"tilecomp.trace.v10\",\"spans\":[{\"kind\":\"kernel\","
+      "\"name\":\"k\",\"path\":\"\",\"depth\":0,\"device\":0,\"stream\":1,"
       "\"config\":{\"grid_dim\":8,\"block_threads\":128,"
-      "\"smem_bytes_per_block\":0,\"regs_per_thread\":32},"
+      "\"smem_bytes_per_block\":0,\"regs_per_thread\":32,"
+      "\"scheduling\":\"static\"},"
       "\"stats\":{\"global_bytes_read\":1024,\"global_bytes_written\":0,"
       "\"warp_global_accesses\":8,\"shared_bytes\":0,\"compute_ops\":0,"
-      "\"barriers\":0},\"occupancy\":0.5,"
+      "\"barriers\":0,\"atomic_ops\":0},\"occupancy\":0.5,"
       "\"breakdown_ms\":{\"launch\":0.005,\"bandwidth\":0.9,\"latency\":0.1,"
-      "\"scheduling\":0.0,\"shared\":0.0,\"compute\":0.0}}]}";
+      "\"scheduling\":0.0,\"shared\":0.0,\"compute\":0.0,\"tail\":0.0,"
+      "\"atomic\":0.0},"
+      "\"wave\":{\"scheduling\":\"static\",\"slots\":0,\"waves\":0,"
+      "\"mean_cost\":0.0,\"max_cost\":0.0,\"p99_cost\":0.0,"
+      "\"imbalance\":1.0},"
+      "\"cache\":{\"hits\":0,\"misses\":0,\"evictions\":0,"
+      "\"saved_bytes\":0,\"prefetch_hits\":0},"
+      "\"pushdown\":{\"tiles_pruned\":0,\"tiles_decoded\":0,"
+      "\"blocks_short_circuited\":0,\"runs_short_circuited\":0},"
+      "\"prefetch\":{\"issued\":0,\"useful\":0,\"wasted\":0,\"late\":0},"
+      "\"limiter\":\"bandwidth\",\"faults\":{\"retries\":0,\"failed\":false},"
+      "\"start_ms\":0.0,\"duration_ms\":1.0}]}";
   std::vector<telemetry::Span> spans;
   std::string error;
-  ASSERT_TRUE(telemetry::TraceFromJson(v2, &spans, &error)) << error;
+  ASSERT_TRUE(telemetry::TraceFromJson(trace, &spans, &error)) << error;
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].kernel.config.scheduling, Scheduling::kStatic);
   EXPECT_EQ(spans[0].kernel.stats.atomic_ops, 0u);

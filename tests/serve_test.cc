@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "codec/systems.h"
+#include "fixed_batch_contract.h"
 #include "gtest/gtest.h"
 #include "serve/server.h"
 #include "serve/tile_cache.h"
@@ -65,25 +66,6 @@ TEST(TileCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(TileCacheTest, ClockGivesSecondChance) {
-  TileCache cache(3 * kTileBytes, EvictionPolicy::kClock);
-  const std::vector<uint32_t> v = TileValues(2);
-  for (uint32_t t = 0; t < 3; ++t) cache.Insert(codec::ColumnId(0), t, v.data(), kTile);
-
-  // All reference bits are set; the first eviction sweep clears them and
-  // evicts the oldest entry (tile 0).
-  cache.Insert(codec::ColumnId(0), 3, v.data(), kTile);
-  EXPECT_FALSE(cache.Contains(codec::ColumnId(0), 0));
-
-  // Re-reference tile 1: the next eviction skips it (second chance) and
-  // takes tile 2, whose bit stayed clear.
-  EXPECT_TRUE(cache.Lookup(codec::ColumnId(0), 1).valid());
-  cache.Insert(codec::ColumnId(0), 4, v.data(), kTile);
-  EXPECT_TRUE(cache.Contains(codec::ColumnId(0), 1));
-  EXPECT_FALSE(cache.Contains(codec::ColumnId(0), 2));
-  EXPECT_EQ(cache.stats().evictions, 2u);
-}
-
 TEST(TileCacheTest, PinBlocksEviction) {
   TileCache cache(2 * kTileBytes, EvictionPolicy::kLru);
   const std::vector<uint32_t> v = TileValues(3);
@@ -123,8 +105,7 @@ TEST(TileCacheTest, OversizedEntryIsRefused) {
 TEST(TileCacheTest, BudgetNeverExceededUnderChurn) {
   const uint64_t budget = 5 * kTileBytes + 100;  // deliberately unaligned
   for (EvictionPolicy policy :
-       {EvictionPolicy::kLru, EvictionPolicy::kClock,
-        EvictionPolicy::kCostAware}) {
+       {EvictionPolicy::kLru, EvictionPolicy::kCostAware}) {
     TileCache cache(budget, policy);
     uint64_t state = 12345;
     for (int i = 0; i < 2000; ++i) {
@@ -173,117 +154,6 @@ TEST(TileCacheDeathTest, OversizedTileIdAbortsInRelease) {
                "tile_id out of the 32-bit key range");
   EXPECT_DEATH(cache.Lookup(codec::ColumnId(0), int64_t{-1}),
                "tile_id out of the 32-bit key range");
-}
-
-// --- TileCache: clock-hand hardening ---
-//
-// Every erase site routes through a single hand-advance helper, so the hand
-// is always either order_.end() or a live element's iterator. These tests
-// script churn with the hand parked on each interesting position; the
-// sanitizer CI job runs them under ASan, where a stale iterator would trip.
-
-TEST(TileCacheTest, ClockHandSurvivesInvalidateAtHand) {
-  TileCache cache(3 * kTileBytes, EvictionPolicy::kClock);
-  const std::vector<uint32_t> v = TileValues(6);
-  for (uint32_t t = 0; t < 3; ++t) {
-    cache.Insert(codec::ColumnId(0), t, v.data(), kTile);
-  }
-  // First eviction sweep: clears every reference bit, evicts tile 0 and
-  // parks the hand on tile 1.
-  cache.Insert(codec::ColumnId(0), 3, v.data(), kTile);
-  ASSERT_FALSE(cache.Contains(codec::ColumnId(0), 0));
-
-  // Invalidate the entry the hand is parked on: the hand must step off it
-  // before the erase.
-  EXPECT_TRUE(cache.Invalidate(codec::ColumnId(0), 1));
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-
-  // Room for tile 4 without eviction; tile 5 then sweeps from the hand's
-  // new position (tile 2, bit already clear) and takes tile 2.
-  cache.Insert(codec::ColumnId(0), 4, v.data(), kTile);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  cache.Insert(codec::ColumnId(0), 5, v.data(), kTile);
-  EXPECT_FALSE(cache.Contains(codec::ColumnId(0), 2));
-  EXPECT_TRUE(cache.Contains(codec::ColumnId(0), 3));
-  EXPECT_TRUE(cache.Contains(codec::ColumnId(0), 4));
-  EXPECT_TRUE(cache.Contains(codec::ColumnId(0), 5));
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_LE(cache.stats().bytes_in_use, cache.budget_bytes());
-}
-
-TEST(TileCacheTest, ClockHandSurvivesPinnedInvalidateAtHand) {
-  TileCache cache(3 * kTileBytes, EvictionPolicy::kClock);
-  const std::vector<uint32_t> v = TileValues(8);
-  for (uint32_t t = 0; t < 3; ++t) {
-    cache.Insert(codec::ColumnId(0), t, v.data(), kTile);
-  }
-  cache.Insert(codec::ColumnId(0), 3, v.data(), kTile);  // hand -> tile 1
-  ASSERT_FALSE(cache.Contains(codec::ColumnId(0), 0));
-
-  // Pin tile 1, then invalidate it while the hand sits on it: the entry
-  // becomes a zombie (storage alive until the pin drops) and the hand must
-  // have stepped off before the unlink.
-  TileCache::PinnedTile pin = cache.Lookup(codec::ColumnId(0), 1);
-  ASSERT_TRUE(pin.valid());
-  EXPECT_TRUE(cache.Invalidate(codec::ColumnId(0), 1));
-  EXPECT_FALSE(cache.Contains(codec::ColumnId(0), 1));
-  EXPECT_EQ(pin.data()[0], 8u);  // the handle still reads valid data
-
-  // The zombie still occupies budget: inserting tile 4 must evict tile 2
-  // (hand position, bit clear) instead of overflowing.
-  cache.Insert(codec::ColumnId(0), 4, v.data(), kTile);
-  EXPECT_FALSE(cache.Contains(codec::ColumnId(0), 2));
-  EXPECT_LE(cache.stats().bytes_in_use, cache.budget_bytes());
-
-  pin.Release();  // frees the zombie's storage
-  cache.Insert(codec::ColumnId(0), 5, v.data(), kTile);
-  EXPECT_TRUE(cache.Contains(codec::ColumnId(0), 3));
-  EXPECT_TRUE(cache.Contains(codec::ColumnId(0), 4));
-  EXPECT_TRUE(cache.Contains(codec::ColumnId(0), 5));
-  EXPECT_EQ(cache.stats().entries, 3u);
-  EXPECT_EQ(cache.stats().bytes_in_use, 3 * kTileBytes);
-}
-
-TEST(TileCacheTest, ClockHandChurnWithInvalidations) {
-  // Deterministic Insert/Lookup/Invalidate churn with pins held across
-  // eviction sweeps, so the hand repeatedly lands on entries that are then
-  // erased out from under it in every combination.
-  const uint64_t budget = 4 * kTileBytes + 7;
-  TileCache cache(budget, EvictionPolicy::kClock);
-  std::vector<TileCache::PinnedTile> held;
-  uint64_t state = 777;
-  for (int i = 0; i < 3000; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const uint32_t col = static_cast<uint32_t>(state >> 32) % 2;
-    const int64_t tile = static_cast<int64_t>((state >> 16) % 12);
-    const uint32_t count = 1 + static_cast<uint32_t>(state % kTile);
-    switch (state % 5) {
-      case 0:
-      case 1: {
-        std::vector<uint32_t> v(count, col);
-        cache.Insert(codec::ColumnId(col), tile, v.data(), count);
-        break;
-      }
-      case 2: {
-        TileCache::PinnedTile pin = cache.Lookup(codec::ColumnId(col), tile);
-        if (pin.valid()) held.push_back(std::move(pin));
-        if (held.size() > 2) held.erase(held.begin());
-        break;
-      }
-      case 3:
-        cache.Invalidate(codec::ColumnId(col), tile);
-        break;
-      default:
-        cache.Lookup(codec::ColumnId(col), tile);
-        break;
-    }
-    ASSERT_LE(cache.stats().bytes_in_use, budget);
-  }
-  held.clear();
-  const TileCache::Stats s = cache.stats();
-  EXPECT_GT(s.evictions, 0u);
-  EXPECT_GT(s.invalidations, 0u);
-  EXPECT_GT(s.hits, 0u);
 }
 
 TEST(TileCacheTest, ClearKeepsPinnedEntries) {
@@ -419,8 +289,7 @@ TEST(ServerTest, InlineSystemBitExactCacheOnAndOff) {
   for (bool use_cache : {false, true}) {
     sim::Device dev;
     ServeOptions options;
-    options.num_streams = 3;
-    options.max_concurrent = 2;
+    options.num_streams = 2;
     options.use_cache = use_cache;
     options.cache_budget_bytes = 256ull << 20;  // holds the working set
     Server server(dev, data, enc, options);
@@ -455,8 +324,7 @@ TEST(ServerTest, InlineSystemBitExactUnderEvictionPressure) {
   const ssb::EncodedLineorder enc =
       ssb::EncodeLineorder(data, codec::System::kGpuStar);
   for (EvictionPolicy policy :
-       {EvictionPolicy::kLru, EvictionPolicy::kClock,
-        EvictionPolicy::kCostAware}) {
+       {EvictionPolicy::kLru, EvictionPolicy::kCostAware}) {
     sim::Device dev;
     ServeOptions options;
     options.num_streams = 4;
@@ -528,7 +396,9 @@ TEST(ServerTest, KernelAndCacheSavedBytesAgree) {
   EXPECT_EQ(kernel_saved, report.cache.saved_bytes);
 }
 
-TEST(ServerTest, RoundRobinAssignsAllStreams) {
+TEST(ServerTest, FixedBatchStartsOnLowestFreeStream) {
+  // The first num_streams queries start at once on streams 0..2; every
+  // later one starts as a stream frees, on the lowest-numbered free one.
   const ssb::SsbData& data = TestData();
   const ssb::EncodedLineorder enc =
       ssb::EncodeLineorder(data, codec::System::kNone);
@@ -539,14 +409,48 @@ TEST(ServerTest, RoundRobinAssignsAllStreams) {
   const ServeReport report = server.Serve(
       {ssb::QueryId::kQ11, ssb::QueryId::kQ12, ssb::QueryId::kQ13,
        ssb::QueryId::kQ11});
-  std::vector<int> streams;
-  for (const ServedQuery& sq : report.queries) streams.push_back(sq.stream);
-  EXPECT_EQ(streams[0], streams[3]);  // wrapped around
-  EXPECT_NE(streams[0], streams[1]);
-  EXPECT_NE(streams[1], streams[2]);
+  ASSERT_EQ(report.queries.size(), 4u);
+  EXPECT_EQ(report.queries[1].stream, report.queries[0].stream + 1);
+  EXPECT_EQ(report.queries[2].stream, report.queries[0].stream + 2);
+  ExpectFixedBatchContract(report, 3);
   for (const ServedQuery& sq : report.queries) {
     EXPECT_GE(sq.latency_ms, 0.0);
     EXPECT_LE(sq.finish_ms - sq.admit_ms, report.makespan_ms + 1e-9);
+  }
+}
+
+TEST(ServerTest, FixedBatchNeverQueuesOrSheds) {
+  // A fixed batch is a BatchWorkload driven by ServeLoad: request ids are
+  // batch positions, and every arrival finds a free stream whatever the
+  // admission settings — even a zero-capacity shedding queue. The cache is
+  // off so the timeline does not depend on eviction order. The second batch
+  // on the same server starts from a non-zero device clock.
+  const ssb::SsbData& data = TestData();
+  const ssb::EncodedLineorder enc =
+      ssb::EncodeLineorder(data, codec::System::kGpuStar);
+  const std::vector<ssb::QueryId> batch = StressBatch();
+  for (AdmissionPolicy policy :
+       {AdmissionPolicy::kShedLowPriority, AdmissionPolicy::kQueueAll}) {
+    sim::Device dev;
+    ServeOptions options;
+    options.num_streams = 3;
+    options.use_cache = false;
+    options.admission.policy = policy;
+    options.admission.queue_capacity = 0;
+    Server server(dev, data, enc, options);
+    for (int round = 0; round < 2; ++round) {
+      const ServeReport report = server.Serve(batch);
+      ASSERT_EQ(report.queries.size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const ServedQuery& sq = report.queries[i];
+        EXPECT_EQ(sq.request_id, i);
+        EXPECT_EQ(sq.query, batch[i]);
+        EXPECT_EQ(sq.cls, load::ClassOf(batch[i]));
+        EXPECT_EQ(sq.status, QueryStatus::kOk);
+      }
+      ExpectFixedBatchContract(report, 3);
+      ExpectBitExact(report, server.runner());
+    }
   }
 }
 

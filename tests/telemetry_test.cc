@@ -362,21 +362,6 @@ TEST(ExportTest, StreamFieldRoundTrip) {
   EXPECT_EQ(loaded[1].kernel.stream_id, s2);
 }
 
-TEST(ExportTest, LoadsV1TraceWithDefaultStream) {
-  // A v1 document (no "stream" fields): loads fine, stream defaults to 0.
-  const std::string v1 =
-      "{\"schema\":\"tilecomp.trace.v1\",\"spans\":["
-      "{\"kind\":\"transfer\",\"name\":\"transfer\",\"path\":\"\","
-      "\"depth\":0,\"bytes\":4096,\"start_ms\":0,\"duration_ms\":0.5}]}";
-  std::vector<Span> spans;
-  std::string error;
-  ASSERT_TRUE(telemetry::TraceFromJson(v1, &spans, &error)) << error;
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].kind, SpanKind::kTransfer);
-  EXPECT_EQ(spans[0].stream_id, 0);
-  EXPECT_EQ(spans[0].transfer_bytes, 4096u);
-}
-
 TEST(ExportTest, CacheCountersRoundTrip) {
   // A kernel that records tile-cache activity exports a "cache" object, and
   // TraceFromJson restores every counter.
@@ -503,75 +488,6 @@ TEST(ExportTest, PrefetchCountersRoundTripV7) {
   EXPECT_EQ(cache.saved_bytes, 768u);
 }
 
-TEST(ExportTest, LoadsV6TraceWithZeroPrefetchCounters) {
-  // A v6 document (pushdown counters, no "prefetch" object and no
-  // cache "prefetch_hits"): loads fine, prefetch counters default to zero.
-  const std::string v6 =
-      "{\"schema\":\"tilecomp.trace.v6\",\"spans\":["
-      "{\"kind\":\"kernel\",\"name\":\"k\",\"path\":\"\",\"depth\":0,"
-      "\"stream\":1,\"start_ms\":0,\"duration_ms\":1.5,"
-      "\"config\":{\"grid_dim\":8,\"block_threads\":128,"
-      "\"smem_bytes_per_block\":0,\"regs_per_thread\":32,"
-      "\"scheduling\":\"static\"},"
-      "\"stats\":{\"global_bytes_read\":4096,\"global_bytes_written\":0,"
-      "\"warp_global_accesses\":32,\"shared_bytes\":0,\"compute_ops\":100,"
-      "\"barriers\":0,\"atomic_ops\":0},"
-      "\"cache\":{\"hits\":5,\"misses\":2,\"evictions\":1,"
-      "\"saved_bytes\":800},"
-      "\"pushdown\":{\"tiles_pruned\":2,\"tiles_decoded\":1,"
-      "\"blocks_short_circuited\":5,\"runs_short_circuited\":9},"
-      "\"faults\":{\"retries\":0,\"failed\":false},"
-      "\"breakdown_ms\":{\"launch\":0.1,\"bandwidth\":0.2,\"latency\":0.3,"
-      "\"scheduling\":0.1,\"shared\":0,\"compute\":0.4,\"atomic\":0,"
-      "\"tail\":0},"
-      "\"occupancy\":0.5}]}";
-  std::vector<Span> spans;
-  std::string error;
-  ASSERT_TRUE(telemetry::TraceFromJson(v6, &spans, &error)) << error;
-  ASSERT_EQ(spans.size(), 1u);
-  const sim::PrefetchCounters& pf = spans[0].kernel.stats.prefetch;
-  EXPECT_EQ(pf.issued, 0u);
-  EXPECT_EQ(pf.useful, 0u);
-  EXPECT_EQ(pf.wasted, 0u);
-  EXPECT_EQ(pf.late, 0u);
-  EXPECT_EQ(spans[0].kernel.stats.cache.prefetch_hits, 0u);
-  EXPECT_EQ(spans[0].kernel.stats.cache.hits, 5u);
-  EXPECT_EQ(spans[0].kernel.stats.pushdown.tiles_pruned, 2u);
-}
-
-TEST(ExportTest, LoadsV5TraceWithZeroPushdownCounters) {
-  // A v5 document (fault fields, no "pushdown" object): loads fine,
-  // pushdown counters default to zero.
-  const std::string v5 =
-      "{\"schema\":\"tilecomp.trace.v5\",\"spans\":["
-      "{\"kind\":\"kernel\",\"name\":\"k\",\"path\":\"\",\"depth\":0,"
-      "\"stream\":1,\"start_ms\":0,\"duration_ms\":1.5,"
-      "\"config\":{\"grid_dim\":8,\"block_threads\":128,"
-      "\"smem_bytes_per_block\":0,\"regs_per_thread\":32,"
-      "\"scheduling\":\"static\"},"
-      "\"stats\":{\"global_bytes_read\":4096,\"global_bytes_written\":0,"
-      "\"warp_global_accesses\":32,\"shared_bytes\":0,\"compute_ops\":100,"
-      "\"barriers\":0,\"atomic_ops\":0},"
-      "\"cache\":{\"hits\":5,\"misses\":2,\"evictions\":1,"
-      "\"saved_bytes\":800},"
-      "\"faults\":{\"retries\":1,\"failed\":false},"
-      "\"breakdown_ms\":{\"launch\":0.1,\"bandwidth\":0.2,\"latency\":0.3,"
-      "\"scheduling\":0.1,\"shared\":0,\"compute\":0.4,\"atomic\":0,"
-      "\"tail\":0},"
-      "\"occupancy\":0.5}]}";
-  std::vector<Span> spans;
-  std::string error;
-  ASSERT_TRUE(telemetry::TraceFromJson(v5, &spans, &error)) << error;
-  ASSERT_EQ(spans.size(), 1u);
-  const sim::PushdownCounters& pd = spans[0].kernel.stats.pushdown;
-  EXPECT_EQ(pd.tiles_pruned, 0u);
-  EXPECT_EQ(pd.tiles_decoded, 0u);
-  EXPECT_EQ(pd.blocks_short_circuited, 0u);
-  EXPECT_EQ(pd.runs_short_circuited, 0u);
-  EXPECT_EQ(spans[0].kernel.fault_retries, 1);
-  EXPECT_EQ(spans[0].kernel.stats.cache.hits, 5u);
-}
-
 TEST(ExportTest, FaultFieldsRoundTripV5) {
   // With a fault plan forcing transfer retries and a failed launch, the v5
   // export carries a "faults" object on both span kinds, and TraceFromJson
@@ -601,111 +517,21 @@ TEST(ExportTest, FaultFieldsRoundTripV5) {
   EXPECT_TRUE(loaded[1].kernel.failed);
 }
 
-TEST(ExportTest, LoadsV4TraceWithZeroFaultFields) {
-  // A v4 document (cache counters, no "faults" object): loads fine, fault
-  // fields default to zero retries / not failed.
-  const std::string v4 =
-      "{\"schema\":\"tilecomp.trace.v4\",\"spans\":["
-      "{\"kind\":\"kernel\",\"name\":\"k\",\"path\":\"\",\"depth\":0,"
-      "\"stream\":1,\"start_ms\":0,\"duration_ms\":1.5,"
-      "\"config\":{\"grid_dim\":8,\"block_threads\":128,"
-      "\"smem_bytes_per_block\":0,\"regs_per_thread\":32,"
-      "\"scheduling\":\"static\"},"
-      "\"stats\":{\"global_bytes_read\":4096,\"global_bytes_written\":0,"
-      "\"warp_global_accesses\":32,\"shared_bytes\":0,\"compute_ops\":100,"
-      "\"barriers\":0,\"atomic_ops\":0},"
-      "\"cache\":{\"hits\":5,\"misses\":2,\"evictions\":1,"
-      "\"saved_bytes\":800},"
-      "\"breakdown_ms\":{\"launch\":0.1,\"bandwidth\":0.2,\"latency\":0.3,"
-      "\"scheduling\":0.1,\"shared\":0,\"compute\":0.4,\"atomic\":0,"
-      "\"tail\":0},"
-      "\"occupancy\":0.5},"
-      "{\"kind\":\"transfer\",\"name\":\"pcie.transfer\",\"path\":\"\","
-      "\"depth\":0,\"stream\":1,\"bytes\":4096,\"start_ms\":0,"
-      "\"duration_ms\":0.5}]}";
-  std::vector<Span> spans;
-  std::string error;
-  ASSERT_TRUE(telemetry::TraceFromJson(v4, &spans, &error)) << error;
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].kernel.stats.cache.hits, 5u);
-  EXPECT_EQ(spans[0].kernel.fault_retries, 0);
-  EXPECT_FALSE(spans[0].kernel.failed);
-  EXPECT_EQ(spans[1].fault_retries, 0);
-  EXPECT_FALSE(spans[1].fault_failed);
-}
-
-TEST(ExportTest, LoadsV3TraceWithZeroCacheCounters) {
-  // A v3 document (scheduling/wave fields, no "cache" object): loads fine,
-  // cache counters default to zero.
-  const std::string v3 =
-      "{\"schema\":\"tilecomp.trace.v3\",\"spans\":["
-      "{\"kind\":\"kernel\",\"name\":\"k\",\"path\":\"\",\"depth\":0,"
-      "\"stream\":2,\"start_ms\":0,\"duration_ms\":1.5,"
-      "\"config\":{\"grid_dim\":8,\"block_threads\":128,"
-      "\"smem_bytes_per_block\":0,\"regs_per_thread\":32,"
-      "\"scheduling\":\"persistent\"},"
-      "\"stats\":{\"global_bytes_read\":4096,\"global_bytes_written\":0,"
-      "\"warp_global_accesses\":32,\"shared_bytes\":0,\"compute_ops\":100,"
-      "\"barriers\":0,\"atomic_ops\":7},"
-      "\"breakdown_ms\":{\"launch\":0.1,\"bandwidth\":0.2,\"latency\":0.3,"
-      "\"scheduling\":0.1,\"shared\":0,\"compute\":0.4,\"atomic\":0.05,"
-      "\"tail\":0.35},"
-      "\"occupancy\":0.5,"
-      "\"wave\":{\"scheduling\":\"persistent\",\"slots\":256,\"waves\":1,"
-      "\"mean_cost\":1.0,\"max_cost\":2.0,\"p99_cost\":1.9,"
-      "\"imbalance\":2.0}}]}";
-  std::vector<Span> spans;
-  std::string error;
-  ASSERT_TRUE(telemetry::TraceFromJson(v3, &spans, &error)) << error;
-  ASSERT_EQ(spans.size(), 1u);
-  const sim::KernelResult& k = spans[0].kernel;
-  EXPECT_EQ(k.config.scheduling, sim::Scheduling::kPersistent);
-  EXPECT_EQ(k.stats.atomic_ops, 7u);
-  EXPECT_EQ(k.breakdown.wave.slots, 256);
-  EXPECT_EQ(spans[0].stream_id, 2);
-  EXPECT_EQ(k.stats.cache.hits, 0u);
-  EXPECT_EQ(k.stats.cache.misses, 0u);
-  EXPECT_EQ(k.stats.cache.evictions, 0u);
-  EXPECT_EQ(k.stats.cache.saved_bytes, 0u);
-}
-
-TEST(ExportTest, LoadsV2TraceKernelSpan) {
-  // A v2 document (streams, but pre-scheduling and pre-cache): loads fine,
-  // scheduling defaults to static and cache counters to zero.
-  const std::string v2 =
-      "{\"schema\":\"tilecomp.trace.v2\",\"spans\":["
-      "{\"kind\":\"kernel\",\"name\":\"k\",\"path\":\"\",\"depth\":0,"
-      "\"stream\":1,\"start_ms\":0,\"duration_ms\":1.0,"
-      "\"config\":{\"grid_dim\":4,\"block_threads\":128,"
-      "\"smem_bytes_per_block\":0,\"regs_per_thread\":32},"
-      "\"stats\":{\"global_bytes_read\":1024,\"global_bytes_written\":0,"
-      "\"warp_global_accesses\":8,\"shared_bytes\":0,\"compute_ops\":10,"
-      "\"barriers\":0},"
-      "\"breakdown_ms\":{\"launch\":0.1,\"bandwidth\":0.2,\"latency\":0.3,"
-      "\"scheduling\":0.1,\"shared\":0,\"compute\":0.3},"
-      "\"occupancy\":0.25}]}";
-  std::vector<Span> spans;
-  std::string error;
-  ASSERT_TRUE(telemetry::TraceFromJson(v2, &spans, &error)) << error;
-  ASSERT_EQ(spans.size(), 1u);
-  const sim::KernelResult& k = spans[0].kernel;
-  EXPECT_EQ(spans[0].stream_id, 1);
-  EXPECT_EQ(k.config.scheduling, sim::Scheduling::kStatic);
-  EXPECT_EQ(k.stats.global_bytes_read, 1024u);
-  EXPECT_EQ(k.stats.atomic_ops, 0u);
-  EXPECT_EQ(k.stats.cache.hits, 0u);
-  EXPECT_EQ(k.stats.cache.saved_bytes, 0u);
-}
-
 TEST(ExportTest, RejectsUnknownTraceSchema) {
-  std::vector<Span> spans;
-  std::string error;
-  EXPECT_FALSE(telemetry::TraceFromJson(
-      "{\"schema\":\"tilecomp.trace.v99\",\"spans\":[]}", &spans, &error));
-  EXPECT_NE(error.find("schema"), std::string::npos);
-  EXPECT_FALSE(telemetry::IsKnownTraceSchema("tilecomp.trace.v99"));
+  // Only the current schema loads; older versions are rejected like unknown
+  // ones.
+  for (const char* schema :
+       {"tilecomp.trace.v99", "tilecomp.trace.v1", "tilecomp.trace.v9"}) {
+    std::vector<Span> spans;
+    std::string error;
+    EXPECT_FALSE(telemetry::TraceFromJson(
+        std::string("{\"schema\":\"") + schema + "\",\"spans\":[]}", &spans,
+        &error))
+        << schema;
+    EXPECT_NE(error.find("schema"), std::string::npos) << schema;
+    EXPECT_FALSE(telemetry::IsKnownTraceSchema(schema)) << schema;
+  }
   EXPECT_TRUE(telemetry::IsKnownTraceSchema(telemetry::kTraceSchema));
-  EXPECT_TRUE(telemetry::IsKnownTraceSchema(telemetry::kTraceSchemaV1));
 }
 
 TEST(ExportTest, ChromeTraceHasPerStreamLanes) {

@@ -222,7 +222,7 @@ int Bench(const std::string& in_path) {
 }
 
 // Decompress a column on the simulated device with a telemetry::Tracer
-// attached and export the per-launch trace: JSON (tilecomp.trace.v6) to
+// attached and export the per-launch trace: JSON (tilecomp.trace.v10) to
 // stdout or --trace=<file>, optionally chrome://tracing format to
 // --chrome=<file>, and a human-readable summary table to stderr.
 //
